@@ -8,15 +8,16 @@
 //! # Memory layout
 //!
 //! Per-channel adjacency is stored as two-level CSR (`ChannelCsr`): one
-//! flat `Vec<NodeId>` of ids per direction plus an offset array of length
-//! `N·S + 1`, so `neighbors_on(u, c)` / `receivers_on(v, c)` are O(1)
-//! slice carves with no pointer chasing. Availability lives in a flat
-//! [`AvailabilityArena`] (one `u64` allocation for all nodes), and
+//! flat `Vec<NodeId>` of ids per direction, carved into one block per node,
+//! plus `N·(S+1)` offsets, so `neighbors_on(u, c)` / `receivers_on(v, c)`
+//! are O(1) slice carves with no pointer chasing. Availability lives in a
+//! flat [`AvailabilityArena`] (one `u64` allocation for all nodes), and
 //! [`Network::available`] returns a borrowed [`ChannelSetRef`] view. The
 //! read surface is bundled as [`TopologyView`](crate::TopologyView)
-//! ([`Network::view`]). Dynamics events recompute only the touched CSR
-//! rows and compact into persistent double buffers — zero steady-state
-//! allocation, covered by the engine's churn allocation audit.
+//! ([`Network::view`]). A dynamics event rewrites only the blocks of the
+//! receivers it touches and of the transmitters they hear, so its cost
+//! follows the event's neighbourhood, not the network; steady-state churn
+//! allocates nothing (the engine's churn allocation audit).
 
 use crate::event::NetworkEvent;
 use crate::graph::Topology;
@@ -42,15 +43,6 @@ pub enum Propagation {
         /// Max link distance per channel, indexed by channel.
         ranges: Vec<f64>,
     },
-}
-
-impl Propagation {
-    fn admits(&self, distance: f64, c: ChannelId) -> bool {
-        match self {
-            Propagation::Uniform => true,
-            Propagation::PerChannelRange { ranges } => distance <= ranges[c.index() as usize],
-        }
-    }
 }
 
 /// Errors constructing a [`Network`].
@@ -110,6 +102,52 @@ impl fmt::Display for NetworkError {
 
 impl std::error::Error for NetworkError {}
 
+/// The span of the directed link `from → to`: the channels common to
+/// `A(from)` and `A(to)` that propagation admits at their distance (which
+/// only per-channel ranges need).
+fn span_channels<'a>(
+    topology: &'a Topology,
+    availability: &'a AvailabilityArena,
+    propagation: &'a Propagation,
+    from: NodeId,
+    to: NodeId,
+) -> impl Iterator<Item = ChannelId> + 'a {
+    let reach = match propagation {
+        Propagation::Uniform => None,
+        Propagation::PerChannelRange { ranges } => Some((ranges, topology.distance(from, to))),
+    };
+    availability
+        .get(from.as_usize())
+        .iter_common(availability.get(to.as_usize()))
+        .filter(move |c| reach.is_none_or(|(ranges, d)| d <= ranges[c.index() as usize]))
+}
+
+/// The distinct ids of `ids`, ascending, into `out`.
+fn distinct(ids: &[NodeId], out: &mut Vec<NodeId>) {
+    out.clear();
+    out.extend_from_slice(ids);
+    out.sort_unstable();
+    out.dedup();
+}
+
+/// Walks two ascending, distinct id lists and calls `f` on every id that
+/// is in exactly one of them.
+fn diff_sorted(old: &[NodeId], new: &[NodeId], mut f: impl FnMut(NodeId)) {
+    let (mut i, mut j) = (0, 0);
+    while i < old.len() || j < new.len() {
+        if j == new.len() || (i < old.len() && old[i] < new[j]) {
+            f(old[i]);
+            i += 1;
+        } else if i == old.len() || new[j] < old[i] {
+            f(new[j]);
+            j += 1;
+        } else {
+            i += 1;
+            j += 1;
+        }
+    }
+}
+
 /// A directed discovery obligation: receiver `to` must learn about
 /// transmitter `from` (the paper's link `(from, to)`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -127,43 +165,98 @@ impl fmt::Display for Link {
 }
 
 /// Two-level compressed-sparse-row adjacency: for each `(node, channel)`
-/// cell, a contiguous slice of a single flat id vector.
+/// cell, a contiguous slice of a single flat id vector. Each node owns one
+/// block of that vector holding its `S` rows back to back, then headroom.
 ///
 /// ```text
-/// starts: [ s(0,0) s(0,1) … s(0,S-1) s(1,0) … s(N-1,S-1) end ]   (N·S + 1)
-/// ids:    [ … row(0,0) … row(0,1) … … row(N-1,S-1) … ]
-/// row(u,c) = ids[starts[u·S + c] .. starts[u·S + c + 1]]
+/// starts: [ s(0,0) … s(0,S-1) e(0) │ s(1,0) … e(1) │ … │ s(N-1,0) … e(N-1) ]   N·(S+1)
+/// caps:   [ cap(0) cap(1) … cap(N-1) ]                                        N
+/// ids:    [ block(1) ░ │ block(0) ░░ │ dead │ … ]     block(u) = ids[s(u,0) ..][.. cap(u)]
+/// row(u,c) = ids[starts[u·(S+1) + c] .. starts[u·(S+1) + c + 1]]
 /// ```
+///
+/// Building packs the blocks tight, in node order, with no headroom. An
+/// update rewrites a node's block in place when its rows fit the
+/// capacity; otherwise the block moves to the tail of `ids` with
+/// [`with_headroom`] room and its old space turns dead. Once dead space
+/// exceeds live space, [`compact`](Self::compact) repacks every block, in
+/// node order, keeping its capacity.
 ///
 /// Row contents preserve the deterministic construction order (topology
 /// neighbor-list order for the receiver-centric direction, ascending
 /// receiver index for the transmitter-centric mirror), so CSR carves are
 /// byte-identical to the nested `Vec<Vec<Vec<NodeId>>>` they replaced.
-#[derive(Debug, Clone, PartialEq)]
+/// Equality is row-wise: block placement and headroom are not identity.
+#[derive(Debug, Clone)]
 struct ChannelCsr {
     universe: usize,
-    /// Length `node_count * universe + 1`; `u32` offsets (a network is
-    /// rejected by construction well before 2³² adjacency entries).
+    /// `u32` offsets, `S + 1` per node (a network is rejected by
+    /// construction well before 2³² adjacency entries).
     starts: Vec<u32>,
+    /// Block capacity per node.
+    caps: Vec<u32>,
     ids: Vec<NodeId>,
+    /// Entries of `ids` that no block owns: space left by relocations.
+    dead: usize,
+}
+
+/// The capacity a block gets when it outgrows its old one: half again its
+/// width plus a few entries, so a node whose degree creeps up one link at
+/// a time relocates O(log degree) times.
+fn with_headroom(width: usize) -> usize {
+    width + width / 2 + 4
+}
+
+/// Converts an `ids` position to a `u32` offset.
+fn offset(pos: usize) -> u32 {
+    u32::try_from(pos).expect("adjacency exceeds u32 CSR offsets")
 }
 
 impl ChannelCsr {
+    /// An empty CSR with room for `nodes` packed blocks.
+    fn with_nodes(universe: usize, nodes: usize) -> Self {
+        Self {
+            universe,
+            starts: Vec::with_capacity(nodes * (universe + 1)),
+            caps: Vec::with_capacity(nodes),
+            ids: Vec::new(),
+            dead: 0,
+        }
+    }
+
     fn node_count(&self) -> usize {
-        (self.starts.len() - 1) / self.universe.max(1)
+        self.caps.len()
     }
 
     #[inline]
     fn row(&self, node: usize, c: usize) -> &[NodeId] {
-        let i = node * self.universe + c;
+        let i = node * (self.universe + 1) + c;
         &self.ids[self.starts[i] as usize..self.starts[i + 1] as usize]
+    }
+
+    /// All of a node's rows, back to back in channel order.
+    fn rows(&self, node: usize) -> &[NodeId] {
+        let b = node * (self.universe + 1);
+        &self.ids[self.starts[b] as usize..self.starts[b + self.universe] as usize]
+    }
+
+    /// Appends the next node's block, packed tight, from its rows in
+    /// channel order.
+    fn push_block<'r>(&mut self, rows: impl IntoIterator<Item = &'r [NodeId]>) {
+        let start = self.ids.len();
+        self.starts.push(offset(start));
+        for row in rows {
+            self.ids.extend_from_slice(row);
+            self.starts.push(offset(self.ids.len()));
+        }
+        self.caps.push(offset(self.ids.len() - start));
     }
 
     /// The maximum row length across all `(node, channel)` cells.
     fn max_row_len(&self) -> usize {
-        self.starts
-            .windows(2)
-            .map(|w| (w[1] - w[0]) as usize)
+        (0..self.node_count())
+            .flat_map(|u| (0..self.universe).map(move |c| (u, c)))
+            .map(|(u, c)| self.row(u, c).len())
             .max()
             .unwrap_or(0)
     }
@@ -182,51 +275,46 @@ impl ChannelCsr {
 
     /// Packs the nested wire shape into CSR, preserving row order.
     fn from_nested(nested: &[Vec<Vec<NodeId>>], universe: u16) -> Self {
-        let universe = universe as usize;
-        let mut starts = Vec::with_capacity(nested.len() * universe + 1);
-        let mut ids = Vec::new();
-        starts.push(0);
-        for row in nested {
-            debug_assert_eq!(row.len(), universe);
-            for cell in row {
-                ids.extend_from_slice(cell);
-                starts.push(ids.len() as u32);
-            }
+        let mut csr = Self::with_nodes(universe as usize, nested.len());
+        for node in nested {
+            debug_assert_eq!(node.len(), universe as usize);
+            csr.push_block(node.iter().map(Vec::as_slice));
         }
-        Self {
-            universe,
-            starts,
-            ids,
-        }
+        csr
     }
 
-    /// The transmitter-centric mirror by counting sort: visiting rows in
-    /// `(u asc, c asc)` order leaves every mirrored row ascending in `u` —
-    /// the canonical `receivers_on` ordering.
+    /// The transmitter-centric mirror by counting sort, packed tight:
+    /// visiting rows in `(u asc, c asc)` order leaves every mirrored row
+    /// ascending in `u` — the canonical `receivers_on` ordering.
     fn invert(&self) -> ChannelCsr {
         let n = self.node_count();
         let s = self.universe;
-        let mut counts = vec![0u32; n * s];
+        let stride = s + 1;
+        // Count row (v, c)'s entries into its end offset, then prefix-sum.
+        let mut starts = vec![0u32; n * stride];
         for u in 0..n {
             for c in 0..s {
                 for &v in self.row(u, c) {
-                    counts[v.as_usize() * s + c] += 1;
+                    starts[v.as_usize() * stride + c + 1] += 1;
                 }
             }
         }
-        let mut starts = Vec::with_capacity(n * s + 1);
-        starts.push(0u32);
+        let mut caps = Vec::with_capacity(n);
         let mut acc = 0u32;
-        for &cnt in &counts {
-            acc += cnt;
-            starts.push(acc);
+        for b in (0..n).map(|v| v * stride) {
+            starts[b] = acc;
+            for c in 0..s {
+                acc += starts[b + c + 1];
+                starts[b + c + 1] = acc;
+            }
+            caps.push(acc - starts[b]);
         }
-        let mut cursor: Vec<u32> = starts[..n * s].to_vec();
+        let mut cursor = starts.clone();
         let mut ids = vec![NodeId::new(0); acc as usize];
         for u in 0..n {
             for c in 0..s {
                 for &v in self.row(u, c) {
-                    let k = v.as_usize() * s + c;
+                    let k = v.as_usize() * stride + c;
                     ids[cursor[k] as usize] = NodeId::new(u as u32);
                     cursor[k] += 1;
                 }
@@ -235,35 +323,165 @@ impl ChannelCsr {
         ChannelCsr {
             universe: s,
             starts,
+            caps,
             ids,
+            dead: 0,
         }
+    }
+
+    /// Replaces a node's rows with `block.rows` (`block.widths[c]` ids for
+    /// channel `c`, in channel order): in place when they fit the node's
+    /// block, else in a fresh block with headroom at the tail of `ids`.
+    /// Compacts through `spare` once dead space exceeds live space.
+    fn write_block(&mut self, node: usize, block: &StagedBlock, spare: &mut Vec<NodeId>) {
+        let b = node * (self.universe + 1);
+        let width = block.rows.len();
+        let mut start = self.starts[b] as usize;
+        if width > self.caps[node] as usize {
+            self.dead += self.caps[node] as usize;
+            start = self.ids.len();
+            let cap = with_headroom(width);
+            self.ids.resize(start + cap, NodeId::new(0));
+            self.caps[node] = offset(cap);
+        }
+        self.ids[start..start + width].copy_from_slice(&block.rows);
+        let mut end = offset(start);
+        self.starts[b] = end;
+        for (c, &w) in block.widths.iter().enumerate() {
+            end += w;
+            self.starts[b + c + 1] = end;
+        }
+        if self.dead > self.ids.len() - self.dead {
+            self.compact(spare);
+        }
+    }
+
+    /// Repacks every block, in node order and at its current capacity,
+    /// into `spare`, then swaps `spare` live: dead space drops to zero and
+    /// the old id vector becomes the next compaction's target.
+    fn compact(&mut self, spare: &mut Vec<NodeId>) {
+        let stride = self.universe + 1;
+        spare.clear();
+        for (u, &cap) in self.caps.iter().enumerate() {
+            let offsets = &mut self.starts[u * stride..(u + 1) * stride];
+            let old = offsets[0];
+            let new = offset(spare.len());
+            spare.extend_from_slice(&self.ids[old as usize..old as usize + cap as usize]);
+            for o in offsets {
+                *o = *o - old + new;
+            }
+        }
+        std::mem::swap(&mut self.ids, spare);
+        self.dead = 0;
+    }
+
+    /// The block rules: every row lies inside its node's block, no two
+    /// blocks overlap, and live plus dead space is the whole id vector.
+    fn check_blocks(&self) -> Result<(), String> {
+        let (n, s) = (self.node_count(), self.universe);
+        if self.starts.len() != n * (s + 1) {
+            return Err(format!(
+                "{} offsets for {n} nodes × {} per node",
+                self.starts.len(),
+                s + 1
+            ));
+        }
+        let mut blocks = Vec::with_capacity(n);
+        for u in 0..n {
+            let b = u * (s + 1);
+            let (start, cap) = (self.starts[b] as usize, self.caps[u] as usize);
+            if start + cap > self.ids.len() {
+                return Err(format!(
+                    "n{u}: block {start}..{} runs past the {}-entry id vector",
+                    start + cap,
+                    self.ids.len()
+                ));
+            }
+            for c in 0..s {
+                let (lo, hi) = (self.starts[b + c] as usize, self.starts[b + c + 1] as usize);
+                if lo > hi || hi > start + cap {
+                    return Err(format!(
+                        "row (n{u}, ch{c}) = {lo}..{hi} lies outside block {start}..{}",
+                        start + cap
+                    ));
+                }
+            }
+            if cap > 0 {
+                blocks.push((start, cap, u));
+            }
+        }
+        blocks.sort_unstable();
+        for w in blocks.windows(2) {
+            let ((a, a_cap, a_node), (b, _, b_node)) = (w[0], w[1]);
+            if a + a_cap > b {
+                return Err(format!("blocks of n{a_node} and n{b_node} overlap at {b}"));
+            }
+        }
+        let live: usize = self.caps.iter().map(|&c| c as usize).sum();
+        if live + self.dead != self.ids.len() {
+            return Err(format!(
+                "{live} live + {} dead entries ≠ {} ids",
+                self.dead,
+                self.ids.len()
+            ));
+        }
+        Ok(())
     }
 }
 
-/// Persistent scratch for [`Network::apply`]: every buffer survives
-/// between events, so a steady stream of dynamics events performs zero
-/// heap allocation once the buffers have grown to the network's size
-/// (asserted by the engine's churn allocation audit). Replaces the former
-/// per-event `BTreeSet` + nested-`Vec` churn.
+impl PartialEq for ChannelCsr {
+    fn eq(&self, other: &Self) -> bool {
+        self.universe == other.universe
+            && self.node_count() == other.node_count()
+            && (0..self.node_count())
+                .all(|u| (0..self.universe).all(|c| self.row(u, c) == other.row(u, c)))
+    }
+}
+
+/// One node's recomputed rows: `rows` holds `widths[c]` ids per channel
+/// `c`, in channel order.
+#[derive(Debug, Clone, Default)]
+struct StagedBlock {
+    widths: Vec<u32>,
+    /// Per-channel fill cursors into `rows`; once staged, row ends.
+    cursors: Vec<u32>,
+    /// `(channel, peer)` in staging order, before the fill.
+    pairs: Vec<(ChannelId, NodeId)>,
+    rows: Vec<NodeId>,
+}
+
+impl StagedBlock {
+    /// The span of `rows` holding channel `c`'s row.
+    fn row_range(&self, c: usize) -> std::ops::Range<usize> {
+        let end = self.cursors[c] as usize;
+        end - self.widths[c] as usize..end
+    }
+}
+
+/// Persistent scratch for [`Network::apply`]. Every buffer is sized by one
+/// event's neighbourhood (a node's degree times `S`) except `spare`, the
+/// compaction target, and all of them survive between events, so a steady
+/// stream of dynamics events performs zero heap allocation once they have
+/// grown (asserted by the engine's churn allocation audit).
 #[derive(Debug, Clone, Default)]
 struct ApplyScratch {
-    /// Touched receiver rows, sorted + deduped per event.
+    /// Receivers whose rows the event may change, sorted + deduped.
     touched: Vec<NodeId>,
-    /// Recomputed rows for the touched nodes, flat in touched order.
-    stage_ids: Vec<NodeId>,
-    /// Per-channel widths of each staged block (`touched.len() * S`).
-    stage_widths: Vec<u32>,
-    /// One node's per-channel width tally (`S`).
-    widths: Vec<u32>,
-    /// One node's per-channel fill cursors (`S`).
-    cursors: Vec<u32>,
-    /// Double buffers the compaction writes into, then swaps live.
-    ids_buf: Vec<NodeId>,
-    starts_buf: Vec<u32>,
-    /// Distinct link sources for one touched receiver.
-    froms: Vec<NodeId>,
-    /// Counting-sort tallies/cursors for the mirror rebuild (`N * S`).
-    counts: Vec<u32>,
+    /// The block being rewritten.
+    block: StagedBlock,
+    /// Sorted distinct ids of one touched receiver's old and new rows (of
+    /// one channel, or of the whole block).
+    old_row: Vec<NodeId>,
+    new_row: Vec<NodeId>,
+    /// Sources that joined or left some row of one touched receiver.
+    changed: Vec<NodeId>,
+    /// All such sources of the event: the only transmitters whose mirror
+    /// blocks it can change.
+    transmitters: Vec<NodeId>,
+    /// One transmitter's out-neighbours, ascending.
+    peers: Vec<NodeId>,
+    /// Compaction target, swapped with whichever CSR compacts.
+    spare: Vec<NodeId>,
 }
 
 /// An M²HeW network: topology, universe, per-node availability, and
@@ -417,37 +635,23 @@ impl Network {
         // within a row, transmitters appear in topology neighbor-list
         // order.
         let s = universe as usize;
-        let mut neighbors = ChannelCsr {
-            universe: s,
-            starts: Vec::with_capacity(n * s + 1),
-            ids: Vec::new(),
-        };
-        neighbors.starts.push(0);
+        let mut neighbors = ChannelCsr::with_nodes(s, n);
         let mut staging: Vec<Vec<NodeId>> = vec![Vec::new(); s];
         let mut links = Vec::new();
         for u in topology.nodes() {
             for &v in topology.in_neighbors(u) {
                 let mut any = false;
-                for c in arena.get(v.as_usize()).iter_common(arena.get(u.as_usize())) {
-                    if propagation.admits(topology.distance(v, u), c) {
-                        staging[c.index() as usize].push(v);
-                        any = true;
-                    }
+                for c in span_channels(&topology, &arena, &propagation, v, u) {
+                    staging[c.index() as usize].push(v);
+                    any = true;
                 }
                 if any {
                     links.push(Link { from: v, to: u });
                 }
             }
-            for cell in &mut staging {
-                neighbors.ids.extend_from_slice(cell);
-                neighbors.starts.push(neighbors.ids.len() as u32);
-                cell.clear();
-            }
+            neighbors.push_block(staging.iter().map(Vec::as_slice));
+            staging.iter_mut().for_each(Vec::clear);
         }
-        assert!(
-            neighbors.ids.len() < u32::MAX as usize,
-            "adjacency exceeds u32 CSR offsets"
-        );
         links.sort_unstable();
         let receivers = neighbors.invert();
 
@@ -465,10 +669,16 @@ impl Network {
 
     /// Applies one [`NetworkEvent`], incrementally recomputing the
     /// per-channel adjacency and link inventory — and therefore `S`, `Δ`
-    /// and `ρ`, which are derived from them on demand. Only the CSR rows
-    /// whose inputs changed are recomputed; untouched receivers' rows are
-    /// block-copied bit-for-bit during compaction, and all intermediate
-    /// state lives in persistent scratch (no steady-state allocation).
+    /// and `ρ`, which are derived from them on demand. The event names the
+    /// receivers whose rows it may change; only their blocks, the mirror
+    /// blocks of the transmitters that joined or left one of their rows,
+    /// and those receivers' entries in the sorted link inventory are
+    /// rewritten. An
+    /// event therefore costs O(Σ degree · S) over that neighbourhood,
+    /// amortized over the occasional compaction, whatever the network's
+    /// size. All intermediate state lives in persistent scratch (no
+    /// steady-state allocation), and the result equals a
+    /// [`Network::new`] rebuild row for row.
     ///
     /// The node universe is fixed: `NodeJoin` reactivates a known index
     /// (overwriting its position and availability), it never grows the
@@ -575,155 +785,122 @@ impl Network {
         Ok(())
     }
 
-    /// Recomputes the CSR rows of the receivers listed in
-    /// `scratch.touched`, compacts both adjacency directions through the
-    /// persistent double buffers, and swaps the touched links. Everything
-    /// runs out of [`ApplyScratch`]; the only per-entry recomputation is
-    /// for the touched rows themselves.
+    /// Rewrites the blocks of the receivers listed in `scratch.touched`
+    /// and moves their links, then rewrites the mirror blocks of the
+    /// transmitters that joined or left one of those receivers' rows on
+    /// some channel: the only mirror rows a forward change can reach, and
+    /// a subset of the transmitters in the receivers' old or new rows.
     fn refresh_touched(&mut self) {
-        let n = self.node_count();
-        let s = self.universe as usize;
-        let scratch = &mut self.scratch;
-        scratch.touched.sort_unstable();
-        scratch.touched.dedup();
-
-        // Stage the recomputed rows of every touched receiver: a widths
-        // pass then a cursor-guided fill, both visiting in-neighbors in
-        // topology order so row contents match a from-scratch build.
-        scratch.stage_ids.clear();
-        scratch.stage_widths.clear();
-        scratch.widths.resize(s, 0);
-        scratch.cursors.resize(s, 0);
-        for &u in &scratch.touched {
-            scratch.widths.fill(0);
-            for &v in self.topology.in_neighbors(u) {
-                for c in self
-                    .availability
-                    .get(v.as_usize())
-                    .iter_common(self.availability.get(u.as_usize()))
-                {
-                    if self.propagation.admits(self.topology.distance(v, u), c) {
-                        scratch.widths[c.index() as usize] += 1;
+        let mut sc = std::mem::take(&mut self.scratch);
+        sc.touched.sort_unstable();
+        sc.touched.dedup();
+        sc.transmitters.clear();
+        for &u in &sc.touched {
+            self.stage(self.topology.in_neighbors(u), |v| (v, u), &mut sc.block);
+            sc.changed.clear();
+            for c in 0..self.universe as usize {
+                let old = self.neighbors.row(u.as_usize(), c);
+                let new = &sc.block.rows[sc.block.row_range(c)];
+                // Rows follow in-neighbour order, which edits only append
+                // to or thin out: an added edge extends a row, a cleared
+                // row truncates it; anything else takes a sorted diff.
+                if let Some(tail) = new.strip_prefix(old).or(old.strip_prefix(new)) {
+                    sc.changed.extend_from_slice(tail);
+                } else {
+                    distinct(old, &mut sc.old_row);
+                    distinct(new, &mut sc.new_row);
+                    let changed = &mut sc.changed;
+                    diff_sorted(&sc.old_row, &sc.new_row, |v| changed.push(v));
+                }
+            }
+            sc.changed.sort_unstable();
+            sc.changed.dedup();
+            // Only a source that changed rows can gain or lose its link to
+            // `u`: it does when it was in some old row and is in no new
+            // one, or the reverse. A scan per source suits the usual one or
+            // two; more (a node left, or its spectrum changed) search
+            // sorted source lists instead, so the cost stays O(w log w).
+            let (old_rows, new_rows) = (self.neighbors.rows(u.as_usize()), &sc.block.rows);
+            let sorted = sc.changed.len() > 2;
+            if sorted {
+                distinct(old_rows, &mut sc.old_row);
+                distinct(new_rows, &mut sc.new_row);
+            }
+            for &v in &sc.changed {
+                let (was, is) = if sorted {
+                    let found = |row: &[NodeId]| row.binary_search(&v).is_ok();
+                    (found(&sc.old_row), found(&sc.new_row))
+                } else {
+                    (old_rows.contains(&v), new_rows.contains(&v))
+                };
+                if was == is {
+                    continue;
+                }
+                let link = Link { from: v, to: u };
+                match self.links.binary_search(&link) {
+                    Ok(k) => {
+                        self.links.remove(k);
                     }
+                    Err(k) => self.links.insert(k, link),
                 }
             }
-            let base = scratch.stage_ids.len() as u32;
-            let mut acc = base;
-            for c in 0..s {
-                scratch.cursors[c] = acc;
-                acc += scratch.widths[c];
-            }
-            scratch.stage_ids.resize(acc as usize, NodeId::new(0));
-            for &v in self.topology.in_neighbors(u) {
-                for c in self
-                    .availability
-                    .get(v.as_usize())
-                    .iter_common(self.availability.get(u.as_usize()))
-                {
-                    if self.propagation.admits(self.topology.distance(v, u), c) {
-                        let cur = &mut scratch.cursors[c.index() as usize];
-                        scratch.stage_ids[*cur as usize] = v;
-                        *cur += 1;
-                    }
-                }
-            }
-            scratch.stage_widths.extend_from_slice(&scratch.widths);
+            self.neighbors
+                .write_block(u.as_usize(), &sc.block, &mut sc.spare);
+            sc.transmitters.extend_from_slice(&sc.changed);
         }
+        sc.transmitters.sort_unstable();
+        sc.transmitters.dedup();
+        for &v in &sc.transmitters {
+            // Staging receivers in ascending order leaves every row
+            // ascending, the canonical `receivers_on` order.
+            sc.peers.clear();
+            sc.peers.extend_from_slice(self.topology.out_neighbors(v));
+            sc.peers.sort_unstable();
+            self.stage(&sc.peers, |u| (v, u), &mut sc.block);
+            self.receivers
+                .write_block(v.as_usize(), &sc.block, &mut sc.spare);
+        }
+        self.scratch = sc;
+    }
 
-        // Compact the receiver-centric CSR into the double buffers:
-        // touched blocks come from the stage, untouched blocks are bulk
-        // copies with rebased offsets.
-        scratch.ids_buf.clear();
-        scratch.starts_buf.clear();
-        scratch.starts_buf.push(0);
-        let mut t_idx = 0usize;
-        let mut stage_pos = 0usize;
-        for u in 0..n {
-            if t_idx < scratch.touched.len() && scratch.touched[t_idx].as_usize() == u {
-                let widths = &scratch.stage_widths[t_idx * s..(t_idx + 1) * s];
-                for &w in widths {
-                    let w = w as usize;
-                    scratch
-                        .ids_buf
-                        .extend_from_slice(&scratch.stage_ids[stage_pos..stage_pos + w]);
-                    stage_pos += w;
-                    scratch.starts_buf.push(scratch.ids_buf.len() as u32);
-                }
-                t_idx += 1;
-            } else {
-                let base = u * s;
-                let old_start = self.neighbors.starts[base];
-                let old_end = self.neighbors.starts[base + s];
-                let rebase = scratch.ids_buf.len() as u32;
-                scratch
-                    .ids_buf
-                    .extend_from_slice(&self.neighbors.ids[old_start as usize..old_end as usize]);
-                for c in 1..=s {
-                    scratch
-                        .starts_buf
-                        .push(self.neighbors.starts[base + c] - old_start + rebase);
-                }
+    /// Stages one block: each peer, in the given order, joins the row of
+    /// every channel in the span of its link `link(peer) = (from, to)`.
+    /// One span pass records `(channel, peer)` pairs and row widths; a
+    /// cursor-guided fill then groups them by channel, peers in list order.
+    fn stage(
+        &self,
+        peers: &[NodeId],
+        link: impl Fn(NodeId) -> (NodeId, NodeId),
+        block: &mut StagedBlock,
+    ) {
+        block.widths.clear();
+        block.widths.resize(self.universe as usize, 0);
+        block.pairs.clear();
+        for &p in peers {
+            let (from, to) = link(p);
+            for c in span_channels(
+                &self.topology,
+                &self.availability,
+                &self.propagation,
+                from,
+                to,
+            ) {
+                block.widths[c.index() as usize] += 1;
+                block.pairs.push((c, p));
             }
         }
-        std::mem::swap(&mut self.neighbors.ids, &mut scratch.ids_buf);
-        std::mem::swap(&mut self.neighbors.starts, &mut scratch.starts_buf);
-
-        // Swap the touched receivers' entries in the sorted link
-        // inventory. `touched` is sorted, so membership is a binary
-        // search; distinct sources come from sort+dedup over the fresh
-        // rows (ascending, like the BTreeSet this replaced).
-        let touched = std::mem::take(&mut scratch.touched);
-        self.links.retain(|l| touched.binary_search(&l.to).is_err());
-        for &u in &touched {
-            scratch.froms.clear();
-            for c in 0..s {
-                scratch
-                    .froms
-                    .extend_from_slice(self.neighbors.row(u.as_usize(), c));
-            }
-            scratch.froms.sort_unstable();
-            scratch.froms.dedup();
-            self.links
-                .extend(scratch.froms.iter().map(|&v| Link { from: v, to: u }));
+        block.cursors.clear();
+        let mut acc = 0;
+        for &w in &block.widths {
+            block.cursors.push(acc);
+            acc += w;
         }
-        self.links.sort_unstable();
-        scratch.touched = touched;
-
-        // Dynamics events are rare relative to slots, so the
-        // transmitter-centric mirror is recompacted wholesale (a counting
-        // sort over the flat ids — the only way to stay canonical when a
-        // refreshed row may add or drop entries anywhere in other nodes'
-        // receiver lists), but through the same persistent buffers.
-        scratch.counts.resize(n * s, 0);
-        scratch.counts.fill(0);
-        for u in 0..n {
-            for c in 0..s {
-                for &v in self.neighbors.row(u, c) {
-                    scratch.counts[v.as_usize() * s + c] += 1;
-                }
-            }
+        block.rows.resize(acc as usize, NodeId::new(0));
+        for &(c, p) in &block.pairs {
+            let cur = &mut block.cursors[c.index() as usize];
+            block.rows[*cur as usize] = p;
+            *cur += 1;
         }
-        scratch.starts_buf.clear();
-        scratch.starts_buf.push(0);
-        let mut acc = 0u32;
-        for k in 0..n * s {
-            acc += scratch.counts[k];
-            scratch.starts_buf.push(acc);
-            scratch.counts[k] = scratch.starts_buf[k];
-        }
-        scratch.ids_buf.clear();
-        scratch.ids_buf.resize(acc as usize, NodeId::new(0));
-        for u in 0..n {
-            for c in 0..s {
-                for &v in self.neighbors.row(u, c) {
-                    let k = v.as_usize() * s + c;
-                    scratch.ids_buf[scratch.counts[k] as usize] = NodeId::new(u as u32);
-                    scratch.counts[k] += 1;
-                }
-            }
-        }
-        std::mem::swap(&mut self.receivers.ids, &mut scratch.ids_buf);
-        std::mem::swap(&mut self.receivers.starts, &mut scratch.starts_buf);
     }
 
     /// The read-only view bundle over this network — the preferred way to
@@ -754,14 +931,6 @@ impl Network {
         self.availability.get(u.as_usize())
     }
 
-    /// Deprecated shim for the pre-arena accessor that returned an owned
-    /// set per call. Allocates; use [`available`](Self::available) and keep
-    /// the view, or `.to_owned()` it once off the hot path.
-    #[deprecated(note = "use available(u), which returns a borrowed ChannelSetRef view")]
-    pub fn available_set(&self, u: NodeId) -> ChannelSet {
-        self.available(u).to_owned()
-    }
-
     /// The propagation model.
     pub fn propagation(&self) -> &Propagation {
         &self.propagation
@@ -773,26 +942,12 @@ impl Network {
         self.neighbors.row(u.as_usize(), c.index() as usize)
     }
 
-    /// Deprecated shim materializing an owned copy of a neighbor row.
-    /// Allocates; use [`neighbors_on`](Self::neighbors_on).
-    #[deprecated(note = "use neighbors_on(u, c), which returns a borrowed CSR slice")]
-    pub fn neighbors_on_owned(&self, u: NodeId, c: ChannelId) -> Vec<NodeId> {
-        self.neighbors_on(u, c).to_vec()
-    }
-
     /// Out-neighbors of `v` on channel `c`: the nodes a transmission by `v`
     /// on `c` reaches, ascending. The transmitter-centric mirror of
     /// [`neighbors_on`](Self::neighbors_on): `u ∈ receivers_on(v, c)` iff
     /// `v ∈ neighbors_on(u, c)`. A borrowed CSR slice.
     pub fn receivers_on(&self, v: NodeId, c: ChannelId) -> &[NodeId] {
         self.receivers.row(v.as_usize(), c.index() as usize)
-    }
-
-    /// Deprecated shim materializing an owned copy of a receiver row.
-    /// Allocates; use [`receivers_on`](Self::receivers_on).
-    #[deprecated(note = "use receivers_on(v, c), which returns a borrowed CSR slice")]
-    pub fn receivers_on_owned(&self, v: NodeId, c: ChannelId) -> Vec<NodeId> {
-        self.receivers_on(v, c).to_vec()
     }
 
     /// The span of the directed link `from → to`: channels on which `to`
@@ -876,18 +1031,127 @@ impl Network {
             .map(|(i, _)| NodeId::new(i as u32))
             .collect()
     }
+
+    /// Checks the storage invariants every constructor and every
+    /// [`apply`](Self::apply) must keep:
+    ///
+    /// - in both CSRs, every row lies inside its node's block, no two
+    ///   blocks overlap, and live plus dead space is the whole id vector;
+    /// - every `neighbors_on` row is the span predicate recomputed over the
+    ///   node's in-neighbours, in in-neighbour order;
+    /// - every `receivers_on` row is strictly ascending and is exactly the
+    ///   transpose of the `neighbors_on` rows;
+    /// - `links` is sorted, unique, and equal to the distinct
+    ///   `(source, receiver)` pairs of the `neighbors_on` rows;
+    /// - no availability set holds a channel past the universe.
+    ///
+    /// O(N·S + edges·S); meant for tests and debugging, not hot paths.
+    ///
+    /// # Errors
+    ///
+    /// The first broken rule, naming the node and channel where it broke.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        let (n, s) = (self.node_count(), self.universe as usize);
+        for (name, csr) in [
+            ("neighbors_on", &self.neighbors),
+            ("receivers_on", &self.receivers),
+        ] {
+            if csr.universe != s || csr.node_count() != n {
+                return Err(format!(
+                    "{name}: {} nodes × {} channels in a {n}-node, {s}-channel network",
+                    csr.node_count(),
+                    csr.universe
+                ));
+            }
+            csr.check_blocks().map_err(|e| format!("{name}: {e}"))?;
+        }
+        for u in self.topology.nodes() {
+            if let Some(c) = self.available(u).max_channel() {
+                if c.index() >= self.universe {
+                    return Err(format!(
+                        "available({u}) holds {c} past the {s}-channel universe"
+                    ));
+                }
+            }
+        }
+        let mut want = Vec::new();
+        for u in self.topology.nodes() {
+            for c in (0..self.universe).map(ChannelId::new) {
+                want.clear();
+                want.extend(self.topology.in_neighbors(u).iter().copied().filter(|&v| {
+                    span_channels(&self.topology, &self.availability, &self.propagation, v, u)
+                        .any(|x| x == c)
+                }));
+                if self.neighbors_on(u, c) != want.as_slice() {
+                    return Err(format!(
+                        "neighbors_on({u}, {c}) = {:?}, but the span predicate over the \
+                         in-neighbours gives {want:?}",
+                        self.neighbors_on(u, c)
+                    ));
+                }
+            }
+        }
+        let transpose = self.neighbors.invert();
+        for v in 0..n {
+            for c in 0..s {
+                let row = self.receivers.row(v, c);
+                let (v, c) = (NodeId::new(v as u32), ChannelId::new(c as u16));
+                if row.windows(2).any(|w| w[0] >= w[1]) {
+                    return Err(format!(
+                        "receivers_on({v}, {c}) = {row:?} is not strictly ascending"
+                    ));
+                }
+                if row != transpose.row(v.as_usize(), c.index() as usize) {
+                    return Err(format!(
+                        "receivers_on({v}, {c}) = {row:?} is not the transpose of \
+                         neighbors_on, which gives {:?}",
+                        transpose.row(v.as_usize(), c.index() as usize)
+                    ));
+                }
+            }
+        }
+        if let Some(w) = self.links.windows(2).find(|w| w[0] >= w[1]) {
+            return Err(format!(
+                "links: {} before {} is not sorted and unique",
+                w[0], w[1]
+            ));
+        }
+        let mut sources = Vec::new();
+        let mut pairs = Vec::with_capacity(self.links.len());
+        for u in self.topology.nodes() {
+            distinct(self.neighbors.rows(u.as_usize()), &mut sources);
+            pairs.extend(sources.iter().map(|&v| Link { from: v, to: u }));
+        }
+        pairs.sort_unstable();
+        if pairs != self.links {
+            let (a, b) = (pairs.iter(), self.links.iter());
+            let first = a.zip(b).find(|(want, got)| want != got);
+            return Err(match first {
+                Some((want, got)) => {
+                    format!("links holds {got} where the neighbors_on rows give {want}")
+                }
+                None => format!(
+                    "links holds {} entries, the neighbors_on rows give {}",
+                    self.links.len(),
+                    pairs.len()
+                ),
+            });
+        }
+        Ok(())
+    }
 }
 
 /// Estimated resident bytes of a network's fixed-cost storage: the two
-/// CSR offset arrays (`2 · (N·S + 1) · 4` bytes) plus the availability
-/// arena (`N · ⌈S/64⌉ · 8` bytes). Adjacency ids scale with the edge
-/// count, which depends on density, so this is the *floor* — the part
-/// that `N·S` word math alone determines and the part that silently OOMs
-/// a careless `--nodes 10000000` invocation.
+/// CSR offset arrays (`2 · N·(S+1) · 4` bytes), their per-node block
+/// capacities (`2 · N · 4` bytes), and the availability arena
+/// (`N · ⌈S/64⌉ · 8` bytes). Adjacency ids scale with the edge count,
+/// which depends on density, so this is the *floor* — the part that `N·S`
+/// word math alone determines and the part that silently OOMs a careless
+/// `--nodes 10000000` invocation.
 pub fn estimate_storage_bytes(nodes: u64, universe: u16) -> u64 {
     let s = u64::from(universe.max(1));
     let stride = s.div_ceil(64).max(1);
-    2 * (nodes * s + 1) * 4 + nodes * stride * 8
+    2 * nodes * (s + 1) * 4 + 2 * nodes * 4 + nodes * stride * 8
 }
 
 /// Default cap for [`check_storage_cap`]: 8 GiB.
@@ -1112,6 +1376,7 @@ mod tests {
     /// inputs are identical, every derived structure must match the
     /// incrementally maintained one bit-for-bit.
     fn rebuilt(net: &Network) -> Network {
+        net.check_invariants().expect("invariants hold");
         let avail: Vec<ChannelSet> = (0..net.node_count())
             .map(|i| net.available(n(i as u32)).to_owned())
             .collect();
@@ -1367,34 +1632,52 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_match_the_view_accessors() {
-        // The migration-gate companion: the shims must keep working (and
-        // keep agreeing with the borrowed views) for external callers even
-        // though in-repo code is banned from them.
-        let net = Network::new(
-            generators::star(3),
-            2,
-            vec![cs(&[0, 1]), cs(&[0]), cs(&[1])],
-            Propagation::Uniform,
-        )
-        .expect("valid network");
-        assert_eq!(net.available_set(n(0)), net.available(n(0)).to_owned());
-        assert_eq!(
-            net.neighbors_on_owned(n(0), ChannelId::new(0)),
-            net.neighbors_on(n(0), ChannelId::new(0)).to_vec()
-        );
-        assert_eq!(
-            net.receivers_on_owned(n(0), ChannelId::new(0)),
-            net.receivers_on(n(0), ChannelId::new(0)).to_vec()
-        );
+    fn churn_stream_relocates_and_compacts_blocks() {
+        // A stream like the ones in `tests/apply_props.rs`, on a network
+        // that starts edgeless: edges appear far faster than they go, so
+        // blocks keep outgrowing their capacity, move to the tail, and
+        // leave enough dead space behind to compact.
+        use mmhew_util::Xoshiro256StarStar;
+        use rand::Rng;
+        let mut g = Xoshiro256StarStar::from_seed_u64(0x5EED);
+        let avail = (0..24)
+            .map(|_| (0..8u16).filter(|_| g.gen_bool(0.9)).collect())
+            .collect();
+        let mut net =
+            Network::new(Topology::new(24), 8, avail, Propagation::Uniform).expect("valid network");
+        let (mut relocated, mut compacted) = (false, false);
+        for _ in 0..600 {
+            let (u, v) = (n(g.gen_range(0..24)), n(g.gen_range(0..24)));
+            let channel = ChannelId::new(g.gen_range(0..8));
+            let event = match g.gen_range(0..32u32) {
+                0 => NetworkEvent::NodeLeave { node: u },
+                1 => NetworkEvent::EdgeRemove { from: v, to: u },
+                2 => NetworkEvent::ChannelGained { node: u, channel },
+                3 => NetworkEvent::ChannelLost { node: u, channel },
+                _ => NetworkEvent::EdgeAdd { from: v, to: u },
+            };
+            let before = [&net.neighbors, &net.receivers].map(|csr| (csr.caps.clone(), csr.dead));
+            net.apply(&event).expect("in-range event");
+            for (csr, (caps, dead)) in [&net.neighbors, &net.receivers].into_iter().zip(before) {
+                relocated |= csr.caps.iter().zip(&caps).any(|(now, was)| now > was);
+                compacted |= csr.dead < dead;
+            }
+            net.check_invariants().expect("invariants hold");
+        }
+        assert!(relocated, "no block outgrew its capacity");
+        assert!(compacted, "dead space never triggered a compaction");
+        assert_eq!(net, rebuilt(&net));
     }
 
     #[test]
     fn storage_estimate_and_cap() {
-        // 1M nodes × 8 channels: 2·(8M+1)·4 B of offsets + 1M·8 B of arena.
+        // 1M nodes × 8 channels: 2·1M·9·4 B of offsets, 2·1M·4 B of block
+        // capacities and 1M·8 B of arena.
         let est = estimate_storage_bytes(1_000_000, 8);
-        assert_eq!(est, 2 * (8_000_000 + 1) * 4 + 1_000_000 * 8);
+        assert_eq!(
+            est,
+            2 * 1_000_000 * 9 * 4 + 2 * 1_000_000 * 4 + 1_000_000 * 8
+        );
         assert!(check_storage_cap(1_000_000, 8).is_ok());
         let err = check_storage_cap(u64::MAX / 1_000, 64).expect_err("over any sane cap");
         let msg = err.to_string();

@@ -1,24 +1,13 @@
-//! Migration gate for the `TopologyView` read API: no non-shim workspace
-//! code may call the deprecated owned topology accessors or re-materialize
-//! what the CSR/bitset storage already exposes as borrowed views.
-//!
-//! `crates/topology/src/network.rs` keeps `available_set`,
-//! `neighbors_on_owned`, and `receivers_on_owned` alive as a deprecated
-//! compatibility surface (and exercises them in its own shim test); every
-//! other library, binary, bench, or example must use the slice/view
-//! returning `neighbors_on` / `receivers_on` / `available`. The gate also
-//! bans the hot-path allocation idioms the redesign removed: cloning an
-//! adjacency slice back into a `Vec` and calling `.clone()` on the `Copy`
-//! availability view (the pre-CSR spelling of "materialize an owned
-//! `ChannelSet`" — the rare legitimate owned copy is spelled
+//! Migration gate for the `TopologyView` read API: no workspace code may
+//! re-materialize what the CSR/bitset storage already exposes as borrowed
+//! views. It bans the hot-path allocation idioms the redesign removed:
+//! cloning an adjacency slice back into a `Vec` and calling `.clone()` on
+//! the `Copy` availability view (the pre-CSR spelling of "materialize an
+//! owned `ChannelSet`" — the rare legitimate owned copy is spelled
 //! `.to_owned()`, which makes the allocation explicit).
 
 use std::fs;
 use std::path::{Path, PathBuf};
-
-/// Deprecated owned accessors. Exact-name matching with identifier
-/// boundary checks on both sides.
-const LEGACY_NAMES: &[&str] = &["available_set", "neighbors_on_owned", "receivers_on_owned"];
 
 /// Hot-path re-materialization idioms: `(method, banned continuation)` —
 /// a line violates when the continuation appears after a call to the
@@ -32,10 +21,6 @@ const BANNED_CHAINS: &[(&str, &str)] = &[
     ("receivers_on", ".to_vec()"),
     ("available", ".clone()"),
 ];
-
-/// Files allowed to mention the legacy names: the shim definitions (and
-/// their conformance test) live in the network module itself.
-const ALLOWED: &[&str] = &["crates/topology/src/network.rs"];
 
 fn workspace_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -141,50 +126,11 @@ fn collect_workspace_files(root: &Path) -> Vec<PathBuf> {
 }
 
 #[test]
-fn no_workspace_code_calls_the_deprecated_topology_accessors() {
-    let root = workspace_root();
-    let allowed: Vec<PathBuf> = ALLOWED.iter().map(|p| root.join(p)).collect();
-    let mut violations = Vec::new();
-    for file in collect_workspace_files(&root) {
-        if allowed.contains(&file) || file == root.join(file!()) {
-            continue;
-        }
-        let Ok(source) = fs::read_to_string(&file) else {
-            continue;
-        };
-        for (line_no, code) in code_lines(&source) {
-            for name in LEGACY_NAMES {
-                let mut from = 0;
-                while let Some(pos) = code[from..].find(name) {
-                    let at = from + pos;
-                    if is_identifier_use(code, at, name) {
-                        violations.push(format!(
-                            "{}:{line_no}: calls deprecated `{name}` — use the borrowed view API",
-                            file.strip_prefix(&root).unwrap_or(&file).display()
-                        ));
-                        break;
-                    }
-                    from = at + name.len();
-                }
-            }
-        }
-    }
-    assert!(
-        violations.is_empty(),
-        "deprecated topology accessors outside the shim surface:\n{}",
-        violations.join("\n")
-    );
-}
-
-#[test]
 fn no_workspace_code_rematerializes_views_on_the_hot_path() {
     let root = workspace_root();
-    // The shim bodies are the one place allowed to re-materialize: that is
-    // their whole job.
-    let allowed: Vec<PathBuf> = ALLOWED.iter().map(|p| root.join(p)).collect();
     let mut violations = Vec::new();
     for file in collect_workspace_files(&root) {
-        if allowed.contains(&file) || file == root.join(file!()) {
+        if file == root.join(file!()) {
             continue;
         }
         let Ok(source) = fs::read_to_string(&file) else {
@@ -207,20 +153,4 @@ fn no_workspace_code_rematerializes_views_on_the_hot_path() {
         "hot-path view re-materialization:\n{}",
         violations.join("\n")
     );
-}
-
-#[test]
-fn the_shim_surface_still_exists() {
-    // The allow-list must track reality: if the shims move, update both
-    // the list above and this test.
-    let root = workspace_root();
-    for path in ALLOWED {
-        let full = root.join(path);
-        let source = fs::read_to_string(&full)
-            .unwrap_or_else(|_| panic!("allow-listed file {path} is missing"));
-        assert!(
-            LEGACY_NAMES.iter().any(|n| source.contains(n)),
-            "{path} no longer mentions the deprecated accessors — trim the allow-list"
-        );
-    }
 }
